@@ -34,12 +34,14 @@ test:
 # spill reruns the memory-governed regressions at tiny budgets: external
 # sort vs in-memory property tests, agg/join spill equivalence, the
 # window/spool spill paths added in PR 5, scratch cleanup, and the
-# end-to-end beyond-memory byte-identity checks — plus a -race pass over
-# one spool hammered by concurrent worker consumers, so the shared-cursor
-# and single-flight paths are exercised with the detector on every check.
+# end-to-end beyond-memory byte-identity checks, and the hash join against
+# its nested-loop oracle in memory and Grace-spilled — plus a -race pass
+# over one spool hammered by concurrent worker consumers and over join
+# probe clones sharing one build, so the shared-cursor, single-flight and
+# shared-build paths are exercised with the detector on every check.
 spill:
-	$(GO) test -run 'Spill|ExternalSort|BeyondMemory|Governor|ScratchCleanup|MemoryTriggers|WindowSpill|SpoolS' ./internal/exec ./internal/wm .
-	$(GO) test -race -run 'SpoolSingleFlight|SpoolCursor|SpoolSharedParallelRace' ./internal/exec .
+	$(GO) test -run 'Spill|ExternalSort|BeyondMemory|Governor|ScratchCleanup|MemoryTriggers|WindowSpill|SpoolS|HashJoinDifferential' ./internal/exec ./internal/wm .
+	$(GO) test -race -run 'SpoolSingleFlight|SpoolCursor|SpoolSharedParallelRace|HashJoinDifferential' ./internal/exec .
 
 # props reruns the property-planning gate (PR 7): the plan/exec unit
 # tests for delivered-property derivation, enforcer elision and window

@@ -220,20 +220,37 @@ func rowBytes(row []types.Datum) int64 {
 // returns the file's path — the one write path every spilling operator
 // (sort runs, agg partitions, join build/probe partitions) shares.
 func writeRunFile(ctx *Context, prefix string, rows [][]types.Datum) (string, error) {
+	return writeRun(ctx, prefix, func(w *spill.Writer) {
+		for start := 0; start < len(rows); start += vector.BatchSize {
+			w.Append(rows[start:min(start+vector.BatchSize, len(rows))])
+		}
+	})
+}
+
+// writeRunRows is writeRunFile for state held in columns: fill writes row
+// i's width values into a buffer reused for every row, which is encoded
+// straight away, so no row is ever held as datums.
+func writeRunRows(ctx *Context, prefix string, n, width int, fill func(i int, row []types.Datum)) (string, error) {
+	return writeRun(ctx, prefix, func(w *spill.Writer) {
+		for start := 0; start < n; start += vector.BatchSize {
+			w.AppendFunc(min(vector.BatchSize, n-start), width, func(i int, row []types.Datum) {
+				fill(start+i, row)
+			})
+		}
+	})
+}
+
+// writeRun spills the blocks write appends as one run file under a fresh
+// prefix-named scratch path and notes its bytes with the governor.
+func writeRun(ctx *Context, prefix string, write func(w *spill.Writer)) (string, error) {
 	fs, _ := ctx.spillTarget()
 	w := spill.NewWriter(fs, ctx.SpillPath(prefix))
-	for start := 0; start < len(rows); start += vector.BatchSize {
-		end := start + vector.BatchSize
-		if end > len(rows) {
-			end = len(rows)
-		}
-		w.Append(rows[start:end])
-	}
-	n, err := w.Close()
+	write(w)
+	size, err := w.Close()
 	if err != nil {
 		return "", err
 	}
-	ctx.Governor().NoteSpill(n)
+	ctx.Governor().NoteSpill(size)
 	return w.Path(), nil
 }
 

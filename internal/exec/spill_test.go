@@ -192,13 +192,16 @@ func TestAggAndJoinSpillMatchesInMemory(t *testing.T) {
 		{`SELECT item_sk, COUNT(DISTINCT qty), MIN(price), MAX(price) FROM sales GROUP BY item_sk`, 600},
 		{`SELECT category, SUM(price), COUNT(*) FROM sales, items
 		   WHERE sales.item_sk = items.item_sk GROUP BY category`, 600},
-		{`SELECT name, qty FROM items LEFT JOIN sales ON items.item_sk = sales.item_sk`, 600},
-		{`SELECT name FROM items WHERE EXISTS (SELECT 1 FROM sales WHERE sales.item_sk = items.item_sk)`, 600},
-		// The filtered anti-join build is 2 rows; a lower budget still
-		// forces it to Grace-partition.
-		{`SELECT name FROM items WHERE NOT EXISTS (SELECT 1 FROM sales WHERE sales.item_sk = items.item_sk AND qty > 3)`, 200},
-		{`SELECT name, qty FROM items RIGHT JOIN sales ON items.item_sk = sales.item_sk`, 600},
-		{`SELECT name, qty FROM items FULL JOIN sales ON items.item_sk = sales.item_sk`, 600},
+		// Join builds are charged their columnar bytes (~50 B a row here),
+		// so their budgets sit below the 8-row build's ~400 B.
+		{`SELECT name, qty FROM items LEFT JOIN sales ON items.item_sk = sales.item_sk`, 300},
+		{`SELECT name FROM items WHERE EXISTS (SELECT 1 FROM sales WHERE sales.item_sk = items.item_sk)`, 300},
+		// The filtered anti-join build is 5 rows; a lower budget still
+		// forces it to Grace-partition. (A build under the governor's
+		// 256 B spill floor never spills, whatever the budget.)
+		{`SELECT name FROM items WHERE NOT EXISTS (SELECT 1 FROM sales WHERE sales.item_sk = items.item_sk AND qty > 1)`, 200},
+		{`SELECT name, qty FROM items RIGHT JOIN sales ON items.item_sk = sales.item_sk`, 300},
+		{`SELECT name, qty FROM items FULL JOIN sales ON items.item_sk = sales.item_sk`, 300},
 	}
 	for _, c := range queries {
 		want, free := w.budgetedRun(t, c.q, 0)

@@ -202,6 +202,28 @@ func evalGroupPartition(g *windowGroup, fns []plan.WindowFn, part [][]types.Datu
 	return out, nil
 }
 
+// evalOnRow evaluates a compiled expression against a single materialized
+// row by staging it into a one-row batch.
+func evalOnRow(e *CompiledExpr, row []types.Datum) (types.Datum, error) {
+	ts := make([]types.T, len(row))
+	for i, d := range row {
+		ts[i] = types.T{Kind: d.K}
+		if d.K == types.Decimal {
+			ts[i] = types.TDecimal(18, d.DecimalScale())
+		}
+	}
+	b := vector.NewBatch(ts, 1)
+	for c, d := range row {
+		b.Cols[c].Set(0, d)
+	}
+	b.N = 1
+	v, err := e.Eval(b)
+	if err != nil {
+		return types.Datum{}, err
+	}
+	return v.Get(0), nil
+}
+
 // rowLess orders two rows under sort keys (NULLS placement per key).
 func rowLess(a, b []types.Datum, keys []plan.SortKey) bool {
 	for _, k := range keys {

@@ -14,6 +14,7 @@
 package llap
 
 import (
+	"container/heap"
 	"container/list"
 	"math"
 	"strings"
@@ -37,6 +38,40 @@ type chunkEntry struct {
 	data []byte
 	crf  float64 // combined recency-frequency value (LRFU)
 	last int64   // logical time of last access
+	rank float64 // eviction order key, see lrfuRank
+	slot int     // index in the cache's eviction heap
+}
+
+// lrfuRank is the time-invariant eviction key of an entry. Its LRFU value
+// at logical time now is crf·2^(−λ(now−last)), whose log2 is
+// (log2(crf) + λ·last) − λ·now: the second term is the same for every
+// entry, so ranking entries by the first term ranks them exactly as their
+// current values do, without recomputing a value per entry per eviction.
+func lrfuRank(crf float64, last int64, lambda float64) float64 {
+	return math.Log2(crf) + lambda*float64(last)
+}
+
+// lrfuHeap is a min-heap of cache entries on rank: the root is the entry
+// with the lowest LRFU value, the next victim.
+type lrfuHeap []*chunkEntry
+
+func (h lrfuHeap) Len() int           { return len(h) }
+func (h lrfuHeap) Less(i, j int) bool { return h[i].rank < h[j].rank }
+func (h lrfuHeap) Swap(i, j int) {
+	h[i], h[j] = h[j], h[i]
+	h[i].slot, h[j].slot = i, j
+}
+func (h *lrfuHeap) Push(x any) {
+	e := x.(*chunkEntry)
+	e.slot = len(*h)
+	*h = append(*h, e)
+}
+func (h *lrfuHeap) Pop() any {
+	old := *h
+	e := old[len(old)-1]
+	old[len(old)-1] = nil
+	*h = old[:len(old)-1]
+	return e
 }
 
 // CacheStats counts cache effectiveness.
@@ -55,6 +90,7 @@ type Cache struct {
 	capacity int64
 	used     int64
 	entries  map[chunkKey]*chunkEntry
+	order    lrfuHeap // entries by LRFU rank, lowest first
 	clock    int64
 	lambda   float64
 
@@ -82,6 +118,8 @@ func (c *Cache) ReadChunk(path string, fileID uint64, stripe, col int, off, leng
 	if e, ok := c.entries[key]; ok {
 		e.crf = 1 + e.crf*math.Pow(2, -c.lambda*float64(now-e.last))
 		e.last = now
+		e.rank = lrfuRank(e.crf, now, c.lambda)
+		heap.Fix(&c.order, e.slot)
 		data := e.data
 		c.mu.Unlock()
 		c.hits.Add(1)
@@ -114,25 +152,19 @@ func (c *Cache) insert(key chunkKey, data []byte) {
 	for c.used+size > c.capacity {
 		c.evictOneLocked()
 	}
-	c.entries[key] = &chunkEntry{key: key, data: data, crf: 1, last: c.clock}
+	e := &chunkEntry{key: key, data: data, crf: 1, last: c.clock, rank: lrfuRank(1, c.clock, c.lambda)}
+	c.entries[key] = e
+	heap.Push(&c.order, e)
 	c.used += size
 }
 
-// evictOneLocked removes the entry with the lowest LRFU value.
+// evictOneLocked removes the entry with the lowest LRFU value: the root
+// of the rank heap, in O(log n).
 func (c *Cache) evictOneLocked() {
-	var victim *chunkEntry
-	lowest := math.Inf(1)
-	now := c.clock
-	for _, e := range c.entries {
-		v := e.crf * math.Pow(2, -c.lambda*float64(now-e.last))
-		if v < lowest {
-			lowest = v
-			victim = e
-		}
-	}
-	if victim == nil {
+	if len(c.order) == 0 {
 		return
 	}
+	victim := heap.Pop(&c.order).(*chunkEntry)
 	delete(c.entries, victim.key)
 	c.used -= int64(len(victim.data))
 	c.evictions.Add(1)

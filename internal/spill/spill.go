@@ -24,14 +24,20 @@ import (
 // EncodeRows serializes rows for a shuffle/spill file: per datum a kind
 // byte (0xFF marks NULL), then a fixed or length-prefixed payload.
 func EncodeRows(rows [][]types.Datum) []byte {
-	var out []byte
+	return encodeRows(nil, len(rows), func(i int) []types.Datum { return rows[i] })
+}
+
+// encodeRows appends the EncodeRows payload of n rows, row i being
+// row(i), to out.
+func encodeRows(out []byte, n int, row func(i int) []types.Datum) []byte {
 	var scratch [binary.MaxVarintLen64]byte
 	putVar := func(v uint64) {
 		n := binary.PutUvarint(scratch[:], v)
 		out = append(out, scratch[:n]...)
 	}
-	putVar(uint64(len(rows)))
-	for _, row := range rows {
+	putVar(uint64(n))
+	for i := 0; i < n; i++ {
+		row := row(i)
 		putVar(uint64(len(row)))
 		for _, d := range row {
 			if d.Null {
@@ -58,8 +64,23 @@ func EncodeRows(rows [][]types.Datum) []byte {
 	return out
 }
 
-// DecodeRows is the inverse of EncodeRows.
+// DecodeRows is the inverse of EncodeRows. Every row is its own
+// allocation, so a caller may keep any row without pinning the others.
 func DecodeRows(data []byte) ([][]types.Datum, error) {
+	var rows [][]types.Datum
+	err := DecodeRowsFunc(data, func(row []types.Datum) {
+		rows = append(rows, append(make([]types.Datum, 0, len(row)), row...))
+	})
+	if err != nil {
+		return nil, err
+	}
+	return rows, nil
+}
+
+// DecodeRowsFunc decodes an EncodeRows payload, calling fn once per row in
+// order. The row is a buffer reused for the next row: fn copies what it
+// keeps.
+func DecodeRowsFunc(data []byte, fn func(row []types.Datum)) error {
 	pos := 0
 	getVar := func() (uint64, error) {
 		v, n := binary.Uvarint(data[pos:])
@@ -71,24 +92,27 @@ func DecodeRows(data []byte) ([][]types.Datum, error) {
 	}
 	nRows, err := getVar()
 	if err != nil {
-		return nil, err
+		return err
 	}
-	rows := make([][]types.Datum, 0, nRows)
+	var row []types.Datum
 	for r := uint64(0); r < nRows; r++ {
 		nCols, err := getVar()
 		if err != nil {
-			return nil, err
+			return err
 		}
-		row := make([]types.Datum, nCols)
+		if uint64(cap(row)) < nCols {
+			row = make([]types.Datum, nCols)
+		}
+		row = row[:nCols]
 		for c := range row {
 			if pos >= len(data) {
-				return nil, fmt.Errorf("spill: truncated run")
+				return fmt.Errorf("spill: truncated run")
 			}
 			k := data[pos]
 			pos++
 			if k == 0xFF {
 				if pos >= len(data) {
-					return nil, fmt.Errorf("spill: truncated run")
+					return fmt.Errorf("spill: truncated run")
 				}
 				row[c] = types.NullOf(types.Kind(data[pos]))
 				pos++
@@ -98,7 +122,7 @@ func DecodeRows(data []byte) ([][]types.Datum, error) {
 			switch kind {
 			case types.Float64:
 				if pos+8 > len(data) {
-					return nil, fmt.Errorf("spill: truncated double")
+					return fmt.Errorf("spill: truncated double")
 				}
 				bits := binary.LittleEndian.Uint64(data[pos:])
 				pos += 8
@@ -106,34 +130,34 @@ func DecodeRows(data []byte) ([][]types.Datum, error) {
 			case types.String:
 				l, err := getVar()
 				if err != nil {
-					return nil, err
+					return err
 				}
 				if pos+int(l) > len(data) {
-					return nil, fmt.Errorf("spill: truncated string")
+					return fmt.Errorf("spill: truncated string")
 				}
 				row[c] = types.NewString(string(data[pos : pos+int(l)]))
 				pos += int(l)
 			case types.Decimal:
 				u, err := getVar()
 				if err != nil {
-					return nil, err
+					return err
 				}
 				sc, err := getVar()
 				if err != nil {
-					return nil, err
+					return err
 				}
 				row[c] = types.NewDecimal(unzigzag(u), int(sc))
 			default:
 				u, err := getVar()
 				if err != nil {
-					return nil, err
+					return err
 				}
 				row[c] = types.Datum{K: kind, I: unzigzag(u)}
 			}
 		}
-		rows = append(rows, row)
+		fn(row)
 	}
-	return rows, nil
+	return nil
 }
 
 func zigzag(v int64) uint64   { return uint64((v << 1) ^ (v >> 63)) }
@@ -144,10 +168,11 @@ func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 // a run is bounded by the spiller's memory budget, so the buffered
 // encoding is at most one budget's worth of bytes.
 type Writer struct {
-	fs   *dfs.FS
-	path string
-	buf  []byte
-	rows int
+	fs      *dfs.FS
+	path    string
+	buf     []byte
+	scratch []byte // AppendFunc's encode buffer, reused across blocks
+	rows    int
 }
 
 // NewWriter starts a run file at path.
@@ -160,12 +185,32 @@ func (w *Writer) Append(rows [][]types.Datum) {
 	if len(rows) == 0 {
 		return
 	}
-	payload := EncodeRows(rows)
-	var scratch [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(scratch[:], uint64(len(payload)))
-	w.buf = append(w.buf, scratch[:n]...)
+	w.frame(EncodeRows(rows), len(rows))
+}
+
+// AppendFunc frames one block of n rows of width datums each, encoding row
+// i right after fill(i, row) writes it into a buffer reused for every row
+// — the block is never held as datums.
+func (w *Writer) AppendFunc(n, width int, fill func(i int, row []types.Datum)) {
+	if n == 0 {
+		return
+	}
+	buf := make([]types.Datum, width)
+	w.frame(encodeRows(w.scratch[:0], n, func(i int) []types.Datum {
+		fill(i, buf)
+		return buf
+	}), n)
+}
+
+// frame appends one encoded block with its length prefix. The payload may
+// alias w.scratch, which is kept for the next AppendFunc.
+func (w *Writer) frame(payload []byte, rows int) {
+	var pre [binary.MaxVarintLen64]byte
+	n := binary.PutUvarint(pre[:], uint64(len(payload)))
+	w.buf = append(w.buf, pre[:n]...)
 	w.buf = append(w.buf, payload...)
-	w.rows += len(rows)
+	w.rows += rows
+	w.scratch = payload
 }
 
 // Rows returns the number of rows appended so far.
@@ -244,6 +289,26 @@ func (r *Reader) ensure(n int) (int, error) {
 
 // Next returns the next block of rows, or nil at end of run.
 func (r *Reader) Next() ([][]types.Datum, error) {
+	block, err := r.nextBlock()
+	if block == nil || err != nil {
+		return nil, err
+	}
+	return DecodeRows(block)
+}
+
+// NextFunc decodes the next block through DecodeRowsFunc, calling fn per
+// row with a reused buffer; false means the run is exhausted.
+func (r *Reader) NextFunc(fn func(row []types.Datum)) (bool, error) {
+	block, err := r.nextBlock()
+	if block == nil || err != nil {
+		return false, err
+	}
+	return true, DecodeRowsFunc(block, fn)
+}
+
+// nextBlock returns the next block's payload (valid until the next read),
+// or nil at end of run.
+func (r *Reader) nextBlock() ([]byte, error) {
 	avail, err := r.ensure(binary.MaxVarintLen64)
 	if err != nil {
 		return nil, err
@@ -262,7 +327,7 @@ func (r *Reader) Next() ([][]types.Datum, error) {
 	if avail < int(payloadLen) {
 		return nil, fmt.Errorf("spill: truncated block at %d in %s", r.off+int64(r.pos), r.path)
 	}
-	rows, err := DecodeRows(r.buf[r.pos : r.pos+int(payloadLen)])
+	block := r.buf[r.pos : r.pos+int(payloadLen)]
 	r.pos += int(payloadLen)
-	return rows, err
+	return block, nil
 }

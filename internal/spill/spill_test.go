@@ -73,3 +73,22 @@ func TestEmptyWriterWritesNothing(t *testing.T) {
 		t.Fatal("empty run should not create a file")
 	}
 }
+
+// TestAppendFuncMatchesAppend checks that a block filled row by row through
+// a reused buffer frames the same bytes as the block appended whole.
+func TestAppendFuncMatchesAppend(t *testing.T) {
+	fs := dfs.New()
+	rows := [][]types.Datum{
+		{types.NewBigint(-3), types.NewString("a"), types.NullOf(types.Float64), types.NewDecimal(125, 2)},
+		{types.NullOf(types.Int64), types.NewString(""), types.NewDouble(2.5), types.NewDecimal(-7, 2)},
+	}
+	whole, byRow := NewWriter(fs, "/a"), NewWriter(fs, "/b")
+	for i := 0; i < 3; i++ {
+		whole.Append(rows)
+		byRow.AppendFunc(len(rows), len(rows[0]), func(i int, row []types.Datum) { copy(row, rows[i]) })
+	}
+	if string(whole.buf) != string(byRow.buf) || whole.Rows() != byRow.Rows() {
+		t.Fatalf("AppendFunc framed %d bytes / %d rows, Append %d bytes / %d rows",
+			len(byRow.buf), byRow.Rows(), len(whole.buf), whole.Rows())
+	}
+}

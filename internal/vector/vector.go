@@ -226,6 +226,211 @@ func (v *Vector) CopyRows(dst int, from *Vector, src, n int) {
 	}
 }
 
+// sameLayout reports whether values of from copy into v verbatim: the same
+// kind and, for decimals, the same scale. Other pairs convert through Set.
+func (v *Vector) sameLayout(from *Vector) bool {
+	return v.Type.Kind == from.Type.Kind && (v.Type.Kind != types.Decimal || v.Type.Scale == from.Type.Scale)
+}
+
+// AppendRows appends n rows of from to the end of v: the physical rows
+// sel[0:n], or rows 0..n-1 when sel is nil. The backing slices grow
+// geometrically, so a column built a batch at a time copies each value
+// O(1) times. A from of another layout converts row by row as Set does.
+func (v *Vector) AppendRows(from *Vector, sel []int, n int) {
+	old := v.Len()
+	if !v.sameLayout(from) {
+		v.extend(n)
+		for i := 0; i < n; i++ {
+			r := i
+			if sel != nil {
+				r = sel[i]
+			}
+			v.Set(old+i, from.Get(r))
+		}
+		return
+	}
+	switch v.Type.Kind {
+	case types.Float64:
+		v.F64 = appendSel(v.F64, from.F64, sel, n)
+	case types.String:
+		v.Str = appendSel(v.Str, from.Str, sel, n)
+	default:
+		v.I64 = appendSel(v.I64, from.I64, sel, n)
+	}
+	switch {
+	case from.Nulls != nil:
+		if v.Nulls == nil {
+			v.Nulls = make([]bool, old, old+n)
+		}
+		v.Nulls = appendSel(v.Nulls, from.Nulls, sel, n)
+	case v.Nulls != nil:
+		v.Nulls = extendBy(v.Nulls, n)
+	}
+}
+
+func appendSel[E any](dst, src []E, sel []int, n int) []E {
+	dst = GrowBy(dst, n)
+	if sel == nil {
+		return append(dst, src[:n]...)
+	}
+	for _, r := range sel[:n] {
+		dst = append(dst, src[r])
+	}
+	return dst
+}
+
+// GrowBy makes room for n more elements of s, at least doubling the
+// capacity when it must reallocate: a column appended to many times
+// allocates about twice its final size in total (append's own growth
+// tapers to 1.25× for large slices, about five times).
+func GrowBy[E any](s []E, n int) []E {
+	if cap(s)-len(s) >= n {
+		return s
+	}
+	ns := make([]E, len(s), max(2*cap(s), len(s)+n))
+	copy(ns, s)
+	return ns
+}
+
+// AppendDatum appends d as a new last row, converting as Set does.
+func (v *Vector) AppendDatum(d types.Datum) {
+	n := v.Len()
+	v.extend(1)
+	v.Set(n, d)
+}
+
+// extend grows the length by n zero, non-NULL rows, geometrically.
+func (v *Vector) extend(n int) {
+	switch v.Type.Kind {
+	case types.Float64:
+		v.F64 = extendBy(v.F64, n)
+	case types.String:
+		v.Str = extendBy(v.Str, n)
+	default:
+		v.I64 = extendBy(v.I64, n)
+	}
+	if v.Nulls != nil {
+		v.Nulls = extendBy(v.Nulls, n)
+	}
+}
+
+// extendBy lengthens s by n zero values.
+func extendBy[E any](s []E, n int) []E {
+	s = GrowBy(s, n)
+	s = s[:len(s)+n]
+	clear(s[len(s)-n:])
+	return s
+}
+
+// CapBytes is the memory held by the vector's backing slices at their
+// capacity: 8 bytes per int64 or float64 slot, a 16-byte header per string
+// slot (the string bytes themselves are not counted), one byte per null
+// mask slot.
+func (v *Vector) CapBytes() int64 {
+	return 8*int64(cap(v.I64)+cap(v.F64)) + 16*int64(cap(v.Str)) + int64(cap(v.Nulls))
+}
+
+// Gather copies row idx[k] of from into row dst+k of v for every k — the
+// indexed form of CopyRows, one typed loop per column. A negative index
+// makes the row NULL (the missing side of an outer join). A from of
+// another layout converts row by row as Set does.
+func (v *Vector) Gather(dst int, from *Vector, idx []int32) {
+	if !v.sameLayout(from) {
+		for k, s := range idx {
+			if s < 0 {
+				v.SetNull(dst + k)
+			} else {
+				v.Set(dst+k, from.Get(int(s)))
+			}
+		}
+		return
+	}
+	var missing bool
+	switch v.Type.Kind {
+	case types.Float64:
+		missing = gatherSlice(v.F64[dst:dst+len(idx)], from.F64, idx)
+	case types.String:
+		missing = gatherSlice(v.Str[dst:dst+len(idx)], from.Str, idx)
+	default:
+		missing = gatherSlice(v.I64[dst:dst+len(idx)], from.I64, idx)
+	}
+	switch {
+	case missing || from.Nulls != nil:
+		if v.Nulls == nil {
+			v.Nulls = make([]bool, v.Len())
+		}
+		out := v.Nulls[dst : dst+len(idx)]
+		for k, s := range idx {
+			out[k] = s < 0 || (from.Nulls != nil && from.Nulls[s])
+		}
+	case v.Nulls != nil:
+		clear(v.Nulls[dst : dst+len(idx)])
+	}
+}
+
+func intKind(k types.Kind) bool {
+	return k == types.Boolean || k == types.Int32 || k == types.Int64
+}
+
+// gatherSlice sets out[k] = src[idx[k]] for every non-negative index and
+// reports whether any index was negative.
+func gatherSlice[E any](out, src []E, idx []int32) bool {
+	missing := false
+	for k, s := range idx {
+		if s < 0 {
+			missing = true
+			continue
+		}
+		out[k] = src[s]
+	}
+	return missing
+}
+
+// KeyEqualFunc returns the join-key equality between rows of a and rows of
+// b: eq(i, j) is exactly a.Get(i).Compare(b.Get(j)) == 0, except that NULL
+// equals nothing. Vectors of one kind (and, for decimals, one scale)
+// compare raw backing values — floats by cmpFloat's !(x<y) && !(x>y), under
+// which NaN equals everything — as do two integer kinds (BOOLEAN, INT,
+// BIGINT), which Compare orders by raw value; any other pair falls back to
+// Compare.
+func KeyEqualFunc(a, b *Vector) func(i, j int) bool {
+	an, bn := a.Nulls, b.Nulls
+	if !a.sameLayout(b) && !(intKind(a.Type.Kind) && intKind(b.Type.Kind)) {
+		return func(i, j int) bool {
+			if (an != nil && an[i]) || (bn != nil && bn[j]) {
+				return false
+			}
+			return a.Get(i).Compare(b.Get(j)) == 0
+		}
+	}
+	switch a.Type.Kind {
+	case types.Float64:
+		af, bf := a.F64, b.F64
+		return func(i, j int) bool {
+			if (an != nil && an[i]) || (bn != nil && bn[j]) {
+				return false
+			}
+			return !(af[i] < bf[j]) && !(af[i] > bf[j])
+		}
+	case types.String:
+		as, bs := a.Str, b.Str
+		return func(i, j int) bool {
+			if (an != nil && an[i]) || (bn != nil && bn[j]) {
+				return false
+			}
+			return as[i] == bs[j]
+		}
+	default:
+		ai, bi := a.I64, b.I64
+		return func(i, j int) bool {
+			if (an != nil && an[i]) || (bn != nil && bn[j]) {
+				return false
+			}
+			return ai[i] == bi[j]
+		}
+	}
+}
+
 // Hashing constants for the column-at-a-time key hashing used by hash
 // joins and hash aggregation. Combined hashes follow FNV-1a mixing:
 // h = h*HashPrime ^ columnHash.
