@@ -54,28 +54,31 @@ props:
 # serve is the hot-path serving gate (PR 8): literal parameterization and
 # digest tests, plan-cache and rewritten result-cache unit suites (the
 # result cache also under -race with -tags stress, which deep-freezes
-# cached rows and panics on any post-fill mutation), the hs2 regression
-# tests for the snapshot-TOCTOU / aliasing / eviction-on-replace /
-# admission-digest fixes, and the end-to-end prepared-vs-adhoc
-# byte-identity, EXECUTE+INSERT hammer and thundering-herd tests under
+# cached rows and panics on any post-fill mutation, beside the generic
+# cache both are built on), the hs2 regression tests for the
+# snapshot-TOCTOU / aliasing / eviction-on-replace / admission-digest
+# fixes, and the end-to-end prepared-vs-adhoc byte-identity,
+# EXECUTE+INSERT hammer, thundering-herd and hit-counter tests under
 # -race.
 serve:
 	$(GO) test ./internal/plancache
 	$(GO) test ./internal/sql -run 'Parameterize|ParsePrepareExecuteDeallocate'
 	$(GO) test ./internal/plan -run 'BindParams'
-	$(GO) test -race -tags stress ./internal/resultcache
+	$(GO) test -race -tags stress ./internal/cache ./internal/resultcache
 	$(GO) test -race -run 'ResultCacheSnapshotPinned|NormalizedAdmissionDigest|PlanCache|PreparedStatement' ./internal/hs2
-	$(GO) test -race -run 'PreparedByteIdenticalToAdhoc|HotPathSkipsCompile|ExecuteInsertHammer|ThunderingHerd|WMHistorySharedAcrossLiterals' .
+	$(GO) test -race -run 'PreparedByteIdenticalToAdhoc|HotPathSkipsCompile|ExecuteInsertHammer|ThunderingHerd|WMHistorySharedAcrossLiterals|ResultCacheHitZeroesRunCounters' .
 
 # elevator is the LLAP I/O elevator gate (PR 9): decoded-vector cache
 # LRU/eviction-during-fill unit tests, elevator prefetch/dedup/close and
-# metadata-cache LRU tests, the acid delete-delta sarg-skip and
+# metadata-cache LRU tests, the executor pool's all-or-nothing Acquire
+# under -race, the acid delete-delta sarg-skip and
 # full-stack elevator-vs-synchronous equivalence tests, then the
 # end-to-end suite under -race: on/off byte-identity at DOP 1/2/4 over
 # delete deltas and sarg-skipped stripes, the observability counters,
 # and the concurrent tiny-decoded-cache hammer (evictions racing fills).
 elevator:
 	$(GO) test ./internal/llap -run 'DecodedCache|QueryVectorView|Elevator|MetadataCache'
+	$(GO) test -race -count=1 -run 'Daemons' ./internal/llap
 	$(GO) test ./internal/acid -run 'DeleteDeltaSargSkipsStripes|ScanWithElevatorMatchesSynchronous'
 	$(GO) test -race -count=1 -run 'TestElevatorByteIdentity|TestElevatorObservability|TestElevatorConcurrentTinyCache' .
 

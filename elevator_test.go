@@ -127,6 +127,39 @@ func TestElevatorObservability(t *testing.T) {
 	}
 }
 
+// TestResultCacheHitZeroesRunCounters: a result-cache hit runs no scan,
+// so it must not report the counters of the run before it.
+func TestResultCacheHitZeroesRunCounters(t *testing.T) {
+	wh, err := Open(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wh.Close()
+	s := wh.Session()
+	setupElevatorTable(t, s)
+	s.SetConf("hive.query.results.cache.enabled", "true")
+	in := s.Internal()
+
+	sel := `SELECT SUM(v) FROM ev WHERE k >= 30000`
+	s.MustExec(sel)
+	if in.LastCacheHit || in.LastStripesSkipped == 0 || in.LastPeakMemoryBytes == 0 {
+		t.Fatalf("setup: miss reported hit=%v, %d stripes skipped, %d peak bytes",
+			in.LastCacheHit, in.LastStripesSkipped, in.LastPeakMemoryBytes)
+	}
+	s.MustExec(sel)
+	if !in.LastCacheHit {
+		t.Fatal("repeat did not hit the result cache")
+	}
+	got := []int64{in.LastPeakMemoryBytes, in.LastSpilledBytes, in.LastDecodedCacheHits, in.LastDecodedCacheMisses,
+		in.LastStripesSkipped, in.LastDeleteStripesSkipped, in.LastPrefetchedStripes}
+	for _, v := range got {
+		if v != 0 {
+			t.Fatalf("cache hit reports the previous run's counters "+
+				"(peak, spilled, decoded hits, misses, stripes skipped, delete stripes skipped, prefetched): %v", got)
+		}
+	}
+}
+
 // TestElevatorConcurrentTinyCache is the race hammer: concurrent sessions
 // scan the same table through a decoded cache far too small for the
 // working set, so fills, hits and evictions interleave under -race while

@@ -508,7 +508,11 @@ func (s *Session) execCompiled(rel plan.Rel, cols []string, resKey, admKey strin
 		for {
 			ccols, rows, outcome := s.srv.Results.Lookup(resKey, snap)
 			if outcome == resultcache.Hit {
+				// A hit runs nothing: zero the counters of the last run.
 				s.LastCacheHit = true
+				s.LastPeakMemoryBytes, s.LastSpilledBytes = 0, 0
+				s.LastDecodedCacheHits, s.LastDecodedCacheMisses = 0, 0
+				s.LastStripesSkipped, s.LastDeleteStripesSkipped, s.LastPrefetchedStripes = 0, 0, 0
 				return &Result{Columns: ccols, Rows: rows}, nil
 			}
 			if outcome == resultcache.MissFill {

@@ -1,9 +1,11 @@
 // no-alias-escape: the copy-on-hit contract (PR 8's aliasing class).
 // Exported methods on the shared cache packages (resultcache, plancache,
-// llap) must not return interior slices or maps of cached state: a caller
-// appending to or mutating such a value poisons rows served to every other
-// session. Returning a fresh header (append([]T(nil), x...)) or any other
-// call result is fine; pointer shares (decoded vectors, cached readers)
+// llap, and the generic cache they are built on) must not return interior
+// slices or maps of cached state: a caller appending to or mutating such a
+// value poisons rows served to every other session. A value read out of a
+// generic cache (a call to a method of package cache on cached state) is
+// cached state too. Returning a fresh header (append([]T(nil), x...)) or
+// any other call result is fine; pointer shares (decoded vectors, cached readers)
 // are governed by the immutable-by-contract rule and the -tags stress
 // deep-freeze instead, so only slice- and map-typed returns are flagged.
 package lint
@@ -25,7 +27,7 @@ var NoAliasEscape = &Analyzer{
 
 // aliasPkgs are the shared-cache packages under the contract, by package
 // name (fixtures declare miniature packages with the same names).
-var aliasPkgs = map[string]bool{"resultcache": true, "plancache": true, "llap": true}
+var aliasPkgs = map[string]bool{"resultcache": true, "plancache": true, "llap": true, "cache": true}
 
 func runNoAliasEscape(w *Workspace) []Diagnostic {
 	var diags []Diagnostic
@@ -57,8 +59,9 @@ func runNoAliasEscape(w *Workspace) []Diagnostic {
 
 		// taintedExpr: the expression reads cached state through the
 		// receiver without an intervening copy. Calls launder (append,
-		// constructors); composite literals and unary/binary ops produce
-		// fresh values.
+		// constructors), except a generic cache's methods called on cached
+		// state, which return what the cache holds; composite literals and
+		// unary/binary ops produce fresh values.
 		var taintedExpr func(e ast.Expr) bool
 		taintedExpr = func(e ast.Expr) bool {
 			switch x := ast.Unparen(e).(type) {
@@ -78,6 +81,14 @@ func runNoAliasEscape(w *Workspace) []Diagnostic {
 				return taintedExpr(x.X)
 			case *ast.TypeAssertExpr:
 				return taintedExpr(x.X)
+			case *ast.CallExpr:
+				sel, ok := ast.Unparen(x.Fun).(*ast.SelectorExpr)
+				if !ok {
+					return false
+				}
+				m := info.Selections[sel]
+				return m != nil && m.Kind() == types.MethodVal && m.Obj().Pkg() != nil &&
+					m.Obj().Pkg().Name() == "cache" && taintedExpr(sel.X)
 			}
 			return false
 		}

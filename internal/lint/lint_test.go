@@ -16,6 +16,7 @@ var fixtureAnalyzers = map[string]*Analyzer{
 	"reserve":     ReservationBalance,
 	"snapshot":    SnapshotPinning,
 	"alias":       NoAliasEscape,
+	"alias/cache": NoAliasEscape,
 	"closecancel": CloseAndCancel,
 	"knobs":       ConfKnobRegistry,
 }

@@ -1,13 +1,13 @@
 package llap
 
 import (
-	"container/list"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/cache"
 	"repro/internal/orc"
 	"repro/internal/vector"
 )
@@ -32,20 +32,8 @@ type vecKey struct {
 	col    int
 }
 
-type vecEntry struct {
-	key  vecKey
-	vec  *vector.Vector
-	size int64
-}
-
 // DecodedCacheStats counts decoded-cache effectiveness.
-type DecodedCacheStats struct {
-	Hits      int64
-	Misses    int64
-	Evictions int64
-	UsedBytes int64
-	Entries   int
-}
+type DecodedCacheStats = cache.Stats
 
 // DecodedCache is the elevator's decoded-vector cache: an orc.VectorCache
 // bounded by decoded bytes with LRU eviction. Cached vectors are shared
@@ -53,21 +41,13 @@ type DecodedCacheStats struct {
 // cache's reference, so a consumer holding an evicted vector keeps a valid
 // value (eviction-during-fill is safe by construction).
 type DecodedCache struct {
-	mu       sync.Mutex
-	capacity int64
-	used     int64
-	entries  map[vecKey]*list.Element // of vecEntry
-	lru      list.List                // front = most recent
-
-	hits      atomic.Int64
-	misses    atomic.Int64
-	evictions atomic.Int64
+	*cache.Cache[vecKey, *vector.Vector]
 }
 
 // NewDecodedCache creates a decoded-vector cache with the given capacity
 // in decoded bytes.
 func NewDecodedCache(capacity int64) *DecodedCache {
-	return &DecodedCache{capacity: capacity, entries: make(map[vecKey]*list.Element)}
+	return &DecodedCache{cache.New[vecKey, *vector.Vector](cache.LRU, capacity)}
 }
 
 // VectorBytes estimates the resident size of a decoded vector, the unit
@@ -88,73 +68,19 @@ func VectorBytes(v *vector.Vector) int64 {
 
 // GetVector implements orc.VectorCache.
 func (c *DecodedCache) GetVector(fileID uint64, stripe, col int) (*vector.Vector, bool) {
-	key := vecKey{fileID, stripe, col}
-	c.mu.Lock()
-	if el, ok := c.entries[key]; ok {
-		c.lru.MoveToFront(el)
-		v := el.Value.(*vecEntry).vec
-		c.mu.Unlock()
-		c.hits.Add(1)
-		return v, true
-	}
-	c.mu.Unlock()
-	c.misses.Add(1)
-	return nil, false
+	return c.Get(vecKey{fileID, stripe, col})
 }
 
 // PeekVector implements orc.VectorPeeker: residency check without hit/miss
 // accounting or LRU promotion, used by the prefetch path.
 func (c *DecodedCache) PeekVector(fileID uint64, stripe, col int) bool {
-	key := vecKey{fileID, stripe, col}
-	c.mu.Lock()
-	_, ok := c.entries[key]
-	c.mu.Unlock()
+	_, ok := c.Peek(vecKey{fileID, stripe, col})
 	return ok
 }
 
 // PutVector implements orc.VectorCache.
 func (c *DecodedCache) PutVector(fileID uint64, stripe, col int, v *vector.Vector) {
-	size := VectorBytes(v)
-	if size > c.capacity {
-		return // larger than the cache: serve uncached
-	}
-	key := vecKey{fileID, stripe, col}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.entries[key]; ok {
-		c.lru.MoveToFront(el)
-		return
-	}
-	for c.used+size > c.capacity {
-		back := c.lru.Back()
-		if back == nil {
-			break
-		}
-		e := back.Value.(*vecEntry)
-		c.lru.Remove(back)
-		delete(c.entries, e.key)
-		c.used -= e.size
-		c.evictions.Add(1)
-	}
-	c.entries[key] = c.lru.PushFront(&vecEntry{key: key, vec: v, size: size})
-	c.used += size
-}
-
-// Capacity returns the cache's byte capacity.
-func (c *DecodedCache) Capacity() int64 { return c.capacity }
-
-// Stats returns decoded-cache counters.
-func (c *DecodedCache) Stats() DecodedCacheStats {
-	c.mu.Lock()
-	used, n := c.used, c.lru.Len()
-	c.mu.Unlock()
-	return DecodedCacheStats{
-		Hits:      c.hits.Load(),
-		Misses:    c.misses.Load(),
-		Evictions: c.evictions.Load(),
-		UsedBytes: used,
-		Entries:   n,
-	}
+	c.Put(vecKey{fileID, stripe, col}, v, VectorBytes(v))
 }
 
 // QueryVectorView wraps the shared DecodedCache with per-query hit/miss

@@ -14,13 +14,10 @@
 package llap
 
 import (
-	"container/heap"
-	"container/list"
-	"math"
 	"strings"
 	"sync"
-	"sync/atomic"
 
+	"repro/internal/cache"
 	"repro/internal/dfs"
 	"repro/internal/orc"
 )
@@ -33,154 +30,38 @@ type chunkKey struct {
 	off    int64
 }
 
-type chunkEntry struct {
-	key  chunkKey
-	data []byte
-	crf  float64 // combined recency-frequency value (LRFU)
-	last int64   // logical time of last access
-	rank float64 // eviction order key, see lrfuRank
-	slot int     // index in the cache's eviction heap
-}
-
-// lrfuRank is the time-invariant eviction key of an entry. Its LRFU value
-// at logical time now is crf·2^(−λ(now−last)), whose log2 is
-// (log2(crf) + λ·last) − λ·now: the second term is the same for every
-// entry, so ranking entries by the first term ranks them exactly as their
-// current values do, without recomputing a value per entry per eviction.
-func lrfuRank(crf float64, last int64, lambda float64) float64 {
-	return math.Log2(crf) + lambda*float64(last)
-}
-
-// lrfuHeap is a min-heap of cache entries on rank: the root is the entry
-// with the lowest LRFU value, the next victim.
-type lrfuHeap []*chunkEntry
-
-func (h lrfuHeap) Len() int           { return len(h) }
-func (h lrfuHeap) Less(i, j int) bool { return h[i].rank < h[j].rank }
-func (h lrfuHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].slot, h[j].slot = i, j
-}
-func (h *lrfuHeap) Push(x any) {
-	e := x.(*chunkEntry)
-	e.slot = len(*h)
-	*h = append(*h, e)
-}
-func (h *lrfuHeap) Pop() any {
-	old := *h
-	e := old[len(old)-1]
-	old[len(old)-1] = nil
-	*h = old[:len(old)-1]
-	return e
-}
-
 // CacheStats counts cache effectiveness.
-type CacheStats struct {
-	Hits      int64
-	Misses    int64
-	Evictions int64
-	UsedBytes int64
-}
+type CacheStats = cache.Stats
 
 // Cache is the LLAP data cache: an orc.ChunkReader that fills itself on
-// miss and serves immutable chunks on hit.
+// miss and serves immutable chunks on hit. It is charged in chunk bytes
+// and evicts by LRFU.
 type Cache struct {
-	mu       sync.Mutex
-	fs       *dfs.FS
-	capacity int64
-	used     int64
-	entries  map[chunkKey]*chunkEntry
-	order    lrfuHeap // entries by LRFU rank, lowest first
-	clock    int64
-	lambda   float64
-
-	hits      atomic.Int64
-	misses    atomic.Int64
-	evictions atomic.Int64
+	fs *dfs.FS
+	*cache.Cache[chunkKey, []byte]
 }
 
 // NewCache creates a cache with the given capacity in bytes.
 func NewCache(fs *dfs.FS, capacity int64) *Cache {
-	return &Cache{
-		fs:       fs,
-		capacity: capacity,
-		entries:  make(map[chunkKey]*chunkEntry),
-		lambda:   0.01, // LRFU decay: closer to LFU for scan-heavy loads
-	}
+	return &Cache{fs: fs, Cache: cache.New[chunkKey, []byte](cache.LRFU, capacity)}
 }
 
 // ReadChunk implements orc.ChunkReader with caching.
 func (c *Cache) ReadChunk(path string, fileID uint64, stripe, col int, off, length int64) ([]byte, error) {
 	key := chunkKey{fileID: fileID, stripe: stripe, col: col, off: off}
-	c.mu.Lock()
-	c.clock++
-	now := c.clock
-	if e, ok := c.entries[key]; ok {
-		e.crf = 1 + e.crf*math.Pow(2, -c.lambda*float64(now-e.last))
-		e.last = now
-		e.rank = lrfuRank(e.crf, now, c.lambda)
-		heap.Fix(&c.order, e.slot)
-		data := e.data
-		c.mu.Unlock()
-		c.hits.Add(1)
+	if data, ok := c.Get(key); ok {
 		// Decoders treat encoded chunks as immutable; copying here would
 		// tax every hit to defend against a write that never happens (the
 		// -tags stress deep-freeze build verifies the contract).
 		//lint:ignore no-alias-escape encoded chunks are immutable by contract; per-hit copies would defeat the cache
 		return data, nil
 	}
-	c.mu.Unlock()
-	c.misses.Add(1)
 	data, err := c.fs.ReadAt(path, off, length)
 	if err != nil {
 		return nil, err
 	}
-	c.insert(key, data)
+	c.Put(key, data, int64(len(data)))
 	return data, nil
-}
-
-func (c *Cache) insert(key chunkKey, data []byte) {
-	size := int64(len(data))
-	if size > c.capacity {
-		return // larger than the cache: serve uncached
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.entries[key]; ok {
-		return
-	}
-	for c.used+size > c.capacity {
-		c.evictOneLocked()
-	}
-	e := &chunkEntry{key: key, data: data, crf: 1, last: c.clock, rank: lrfuRank(1, c.clock, c.lambda)}
-	c.entries[key] = e
-	heap.Push(&c.order, e)
-	c.used += size
-}
-
-// evictOneLocked removes the entry with the lowest LRFU value: the root
-// of the rank heap, in O(log n).
-func (c *Cache) evictOneLocked() {
-	if len(c.order) == 0 {
-		return
-	}
-	victim := heap.Pop(&c.order).(*chunkEntry)
-	delete(c.entries, victim.key)
-	c.used -= int64(len(victim.data))
-	c.evictions.Add(1)
-}
-
-// Stats returns cache counters.
-func (c *Cache) Stats() CacheStats {
-	c.mu.Lock()
-	used := c.used
-	c.mu.Unlock()
-	return CacheStats{
-		Hits:      c.hits.Load(),
-		Misses:    c.misses.Load(),
-		Evictions: c.evictions.Load(),
-		UsedBytes: used,
-	}
 }
 
 // MetadataCache keeps parsed ORC readers (file footers, stripe statistics)
@@ -190,18 +71,7 @@ func (c *Cache) Stats() CacheStats {
 // Capacity is an entry count with LRU eviction: footers are small and
 // uniform, so recency matters more than byte-accurate charging here.
 type MetadataCache struct {
-	mu       sync.Mutex
-	capacity int
-	readers  map[string]*list.Element // of metaEntry
-	lru      list.List                // front = most recent
-	hits     atomic.Int64
-	misses   atomic.Int64
-	evicted  atomic.Int64
-}
-
-type metaEntry struct {
-	path   string
-	reader *orc.Reader
+	*cache.Cache[string, *orc.Reader]
 }
 
 // DefaultMetadataCapacity bounds the footer cache when no explicit size is
@@ -209,14 +79,8 @@ type metaEntry struct {
 const DefaultMetadataCapacity = 1024
 
 // MetaStats counts metadata-cache effectiveness, reported alongside
-// CacheStats.
-type MetaStats struct {
-	Hits      int64
-	Misses    int64
-	Evictions int64
-	Entries   int
-	Capacity  int
-}
+// CacheStats; UsedBytes equals Entries, one unit per footer.
+type MetaStats = cache.Stats
 
 // NewMetadataCache returns an empty metadata cache with the default
 // capacity.
@@ -228,7 +92,7 @@ func NewMetadataCacheSize(capacity int) *MetadataCache {
 	if capacity <= 0 {
 		capacity = DefaultMetadataCapacity
 	}
-	return &MetadataCache{capacity: capacity, readers: make(map[string]*list.Element)}
+	return &MetadataCache{cache.New[string, *orc.Reader](cache.LRU, int64(capacity))}
 }
 
 // Reader returns a cached ORC reader for the file, reopening when the file
@@ -240,138 +104,84 @@ func (m *MetadataCache) Reader(fs *dfs.FS, path string) (*orc.Reader, error) {
 	if err != nil {
 		return nil, err
 	}
-	m.mu.Lock()
-	if el, ok := m.readers[path]; ok {
-		if r := el.Value.(*metaEntry).reader; r.FileID() == st.FileID {
-			m.lru.MoveToFront(el)
-			m.mu.Unlock()
-			m.hits.Add(1)
-			return r, nil
-		}
-		// Stale generation: drop so the slot is refilled below.
-		m.lru.Remove(el)
-		delete(m.readers, path)
+	// A reader of an older generation is stale: it is dropped and refilled.
+	if r, ok := m.GetValid(path, func(r *orc.Reader) bool { return r.FileID() == st.FileID }); ok {
+		return r, nil
 	}
-	m.mu.Unlock()
-	m.misses.Add(1)
 	r, err := orc.NewReader(fs, path)
 	if err != nil {
 		return nil, err
 	}
-	m.mu.Lock()
-	if el, ok := m.readers[path]; ok {
-		// Lost a race with a concurrent fill; keep the resident entry.
-		m.lru.MoveToFront(el)
-		r = el.Value.(*metaEntry).reader
-	} else {
-		m.readers[path] = m.lru.PushFront(&metaEntry{path: path, reader: r})
-		for m.lru.Len() > m.capacity {
-			back := m.lru.Back()
-			delete(m.readers, back.Value.(*metaEntry).path)
-			m.lru.Remove(back)
-			m.evicted.Add(1)
-		}
-	}
-	m.mu.Unlock()
+	m.Put(path, r, 1)
 	return r, nil
 }
 
 // Invalidate drops the cached footer for a path, e.g. after the path was
 // overwritten or removed outside the FileID-versioned write path.
-func (m *MetadataCache) Invalidate(path string) {
-	m.mu.Lock()
-	if el, ok := m.readers[path]; ok {
-		m.lru.Remove(el)
-		delete(m.readers, path)
-	}
-	m.mu.Unlock()
-}
+func (m *MetadataCache) Invalidate(path string) { m.Remove(path) }
 
 // InvalidatePrefix drops every cached footer under a path prefix, used when
 // a table or partition directory is dropped or truncated.
 func (m *MetadataCache) InvalidatePrefix(prefix string) {
-	m.mu.Lock()
-	for path, el := range m.readers {
-		if strings.HasPrefix(path, prefix) {
-			m.lru.Remove(el)
-			delete(m.readers, path)
-		}
-	}
-	m.mu.Unlock()
-}
-
-// Stats returns metadata-cache counters.
-func (m *MetadataCache) Stats() MetaStats {
-	m.mu.Lock()
-	n := m.lru.Len()
-	m.mu.Unlock()
-	return MetaStats{
-		Hits:      m.hits.Load(),
-		Misses:    m.misses.Load(),
-		Evictions: m.evicted.Load(),
-		Entries:   n,
-		Capacity:  m.capacity,
-	}
+	m.RemoveIf(func(path string, _ *orc.Reader) bool { return strings.HasPrefix(path, prefix) })
 }
 
 // Hits reports metadata cache hits (for tests).
-func (m *MetadataCache) Hits() int64 { return m.hits.Load() }
+func (m *MetadataCache) Hits() int64 { return m.Stats().Hits }
 
 // Daemons is the pool of persistent executors. Executors are acquired per
 // query fragment; there is no per-task start-up cost, unlike YARN
 // containers.
 type Daemons struct {
-	slots chan struct{}
+	mu      sync.Mutex
+	freed   *sync.Cond // signalled when executors are released
+	free    int
+	total   int
+	waiting int // Acquire calls blocked on freed
 }
 
 // NewDaemons starts a pool with the given total executor count.
 func NewDaemons(executors int) *Daemons {
-	d := &Daemons{slots: make(chan struct{}, executors)}
-	for i := 0; i < executors; i++ {
-		d.slots <- struct{}{}
-	}
+	d := &Daemons{free: executors, total: executors}
+	d.freed = sync.NewCond(&d.mu)
 	return d
 }
 
-// Acquire takes n executors, blocking until available; the returned
-// function releases them.
+// Acquire takes n executors, blocking until all n are free at once; the
+// returned function releases them. A blocked caller holds none, so two
+// callers that each need most of the pool cannot deadlock holding parts
+// of it.
 func (d *Daemons) Acquire(n int) (release func()) {
-	if n > cap(d.slots) {
-		n = cap(d.slots)
+	n = min(n, d.total)
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	for d.free < n {
+		d.waiting++
+		d.freed.Wait()
+		d.waiting--
 	}
-	for i := 0; i < n; i++ {
-		<-d.slots
-	}
-	return func() {
-		for i := 0; i < n; i++ {
-			d.slots <- struct{}{}
-		}
-	}
+	d.free -= n
+	return func() { d.release(n) }
 }
 
 // TryAcquire takes n executors without blocking.
 func (d *Daemons) TryAcquire(n int) (release func(), ok bool) {
-	if n > cap(d.slots) {
-		n = cap(d.slots)
+	n = min(n, d.total)
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.free < n {
+		return nil, false
 	}
-	taken := 0
-	for taken < n {
-		select {
-		case <-d.slots:
-			taken++
-		default:
-			for i := 0; i < taken; i++ {
-				d.slots <- struct{}{}
-			}
-			return nil, false
-		}
-	}
-	return func() {
-		for i := 0; i < n; i++ {
-			d.slots <- struct{}{}
-		}
-	}, true
+	d.free -= n
+	return func() { d.release(n) }, true
+}
+
+func (d *Daemons) release(n int) {
+	d.mu.Lock()
+	d.free += n
+	d.mu.Unlock()
+	d.freed.Broadcast()
 }
 
 // Executors returns the pool size.
-func (d *Daemons) Executors() int { return cap(d.slots) }
+func (d *Daemons) Executors() int { return d.total }

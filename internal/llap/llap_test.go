@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/dfs"
 	"repro/internal/orc"
@@ -133,6 +134,46 @@ func TestDaemonsPool(t *testing.T) {
 		t.Error("all slots should be free again")
 	} else {
 		r()
+	}
+}
+
+// TestDaemonsAcquireAllOrNothing: a blocked Acquire holds no executors.
+// With 4 of 8 held, Acquire(5) blocks without taking the other 4, so a
+// TryAcquire(4) still succeeds (two serial plans each holding part of the
+// pool used to wait on each other forever). Once both holders release,
+// the waiter gets its 5, and after it releases nothing is left waiting.
+func TestDaemonsAcquireAllOrNothing(t *testing.T) {
+	d := NewDaemons(8)
+	first, ok := d.TryAcquire(4)
+	if !ok {
+		t.Fatal("setup: 4 of 8 executors should be free")
+	}
+	granted := make(chan func())
+	go func() { granted <- d.Acquire(5) }()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		d.mu.Lock()
+		blocked := d.waiting == 1
+		d.mu.Unlock()
+		if blocked {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("Acquire(5) never blocked")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	second, ok := d.TryAcquire(4)
+	if !ok {
+		t.Fatal("a blocked Acquire(5) holds executors it was not granted")
+	}
+	first()
+	second()
+	(<-granted)()
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.free != 8 || d.waiting != 0 {
+		t.Errorf("after releasing everything: %d of 8 free, %d waiting", d.free, d.waiting)
 	}
 }
 

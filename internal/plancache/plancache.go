@@ -5,15 +5,11 @@
 // keyed on (database, normalized digest, metastore schema version,
 // plan-affecting configuration fingerprint): any DDL or planner-relevant
 // SET invalidates by changing the key, without explicit invalidation
-// traffic. The cache is sharded and evicts LRU within each shard.
+// traffic. The cache evicts the least recently used template.
 package plancache
 
 import (
-	"container/list"
-	"hash/fnv"
-	"strconv"
-	"sync"
-
+	"repro/internal/cache"
 	"repro/internal/plan"
 	"repro/internal/types"
 )
@@ -26,18 +22,6 @@ type Key struct {
 	Conf   string // fingerprint of plan-affecting session configuration
 }
 
-func (k Key) hash() uint32 {
-	h := fnv.New32a()
-	h.Write([]byte(k.DB))
-	h.Write([]byte{0})
-	h.Write([]byte(k.Digest))
-	h.Write([]byte{0})
-	h.Write([]byte(strconv.FormatInt(k.Schema, 10)))
-	h.Write([]byte{0})
-	h.Write([]byte(k.Conf))
-	return h.Sum32()
-}
-
 // Entry is a compiled plan template: an optimized logical plan whose
 // literals are plan.Param placeholders. Callers must never execute Rel
 // directly — plan.BindParams stamps out a private deep copy per run.
@@ -48,29 +32,14 @@ type Entry struct {
 	Deterministic bool      // false disables result caching for the statement
 }
 
-type cached struct {
-	key   Key
-	entry *Entry
-	elem  *list.Element
-}
-
-type shard struct {
-	mu      sync.Mutex
-	entries map[Key]*cached
-	lru     *list.List // of *cached; front = most recently used
-	max     int
-
-	hits, misses int64
-}
-
 // Cache is one HS2 instance's plan cache, shared by all sessions.
 type Cache struct {
 	noCopy noCopy
-	shards []*shard
+	lru    *cache.Cache[Key, *Entry]
 }
 
 // noCopy makes `go vet` (copylocks) flag by-value copies of Cache: the
-// shards are shared mutable state behind pointers, so a copied handle
+// entries are shared mutable state behind a pointer, so a copied handle
 // silently aliases the original instead of being independent.
 type noCopy struct{}
 
@@ -82,84 +51,24 @@ func New(maxEntries int) *Cache {
 	if maxEntries <= 0 {
 		maxEntries = 128
 	}
-	n := maxEntries / 16
-	if n < 1 {
-		n = 1
-	}
-	if n > 16 {
-		n = 16
-	}
-	per := maxEntries / n
-	if per < 1 {
-		per = 1
-	}
-	c := &Cache{shards: make([]*shard, n)}
-	for i := range c.shards {
-		c.shards[i] = &shard{entries: make(map[Key]*cached), lru: list.New(), max: per}
-	}
-	return c
-}
-
-func (c *Cache) shardFor(k Key) *shard {
-	return c.shards[k.hash()%uint32(len(c.shards))]
+	return &Cache{lru: cache.New[Key, *Entry](cache.LRU, int64(maxEntries))}
 }
 
 // Get returns the cached template for k, or nil.
 func (c *Cache) Get(k Key) *Entry {
-	s := c.shardFor(k)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if e, ok := s.entries[k]; ok {
-		s.hits++
-		s.lru.MoveToFront(e.elem)
-		return e.entry
-	}
-	s.misses++
-	return nil
+	e, _ := c.lru.Get(k)
+	return e
 }
 
 // Put stores a template. Replacing an existing key does not evict; a new
-// key evicts the shard's least-recently-used template when full.
-func (c *Cache) Put(k Key, e *Entry) {
-	s := c.shardFor(k)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if old, ok := s.entries[k]; ok {
-		old.entry = e
-		s.lru.MoveToFront(old.elem)
-		return
-	}
-	if s.lru.Len() >= s.max {
-		back := s.lru.Back()
-		if back != nil {
-			victim := back.Value.(*cached)
-			s.lru.Remove(back)
-			delete(s.entries, victim.key)
-		}
-	}
-	ce := &cached{key: k, entry: e}
-	ce.elem = s.lru.PushFront(ce)
-	s.entries[k] = ce
-}
+// key evicts the least-recently-used template when full.
+func (c *Cache) Put(k Key, e *Entry) { c.lru.Put(k, e, 1) }
 
-// Stats returns hit/miss counters summed across shards.
+// Stats returns hit/miss counters.
 func (c *Cache) Stats() (hits, misses int64) {
-	for _, s := range c.shards {
-		s.mu.Lock()
-		hits += s.hits
-		misses += s.misses
-		s.mu.Unlock()
-	}
-	return
+	st := c.lru.Stats()
+	return st.Hits, st.Misses
 }
 
 // Len reports the number of cached templates (for tests).
-func (c *Cache) Len() int {
-	n := 0
-	for _, s := range c.shards {
-		s.mu.Lock()
-		n += s.lru.Len()
-		s.mu.Unlock()
-	}
-	return n
-}
+func (c *Cache) Len() int { return c.lru.Stats().Entries }

@@ -5,19 +5,17 @@
 // an entry, it just makes new readers fill a newer version, while readers
 // whose snapshot predates the write keep being served the old rows. A
 // pending-entry mode protects against a thundering herd of identical
-// queries racing to refill after an invalidating write. Shard-level locks
-// keep concurrent sessions from serializing on one mutex, and eviction is
-// LRU within each shard.
+// queries racing to refill after an invalidating write. Each (query,
+// snapshot) version is one entry, evicted least recently used first.
 package resultcache
 
 import (
-	"container/list"
-	"hash/fnv"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
 
+	"repro/internal/cache"
 	"repro/internal/types"
 )
 
@@ -25,19 +23,7 @@ import (
 // it was answered under.
 type Snapshot map[string]int64
 
-func snapshotEqual(a, b Snapshot) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k, v := range a {
-		if b[k] != v {
-			return false
-		}
-	}
-	return true
-}
-
-// snapKey renders a snapshot canonically (sorted) for pending-entry keys.
+// snapKey renders a snapshot canonically (sorted) for entry keys.
 func snapKey(s Snapshot) string {
 	keys := make([]string, 0, len(s))
 	for k := range s {
@@ -54,42 +40,32 @@ func snapKey(s Snapshot) string {
 	return b.String()
 }
 
+// versionKey is the key of one cached version, and of the pending fill of
+// it: the query key plus its snapshot.
+func versionKey(key string, snap Snapshot) string { return key + "\x00" + snapKey(snap) }
+
+// entry is one cached version. It is never modified once stored; a refill
+// at the same snapshot stores a new entry.
 type entry struct {
-	key      string
-	columns  []string
-	rows     [][]types.Datum
-	snapshot Snapshot
-	elem     *list.Element
-	frozen   uint64 // content hash under -tags stress; 0 otherwise
+	key     string
+	columns []string
+	rows    [][]types.Datum
+	frozen  uint64 // content hash under -tags stress; 0 otherwise
 }
 
 type pending struct {
 	done chan struct{}
 }
 
-type shard struct {
-	mu       sync.Mutex
-	versions map[string][]*entry // key -> entries at distinct snapshots
-	lru      *list.List          // of *entry; front = most recently used
-	pendings map[string]*pending // key + "\x00" + snapKey
-	max      int
-
-	hits, misses, waits int64
-}
-
 // Cache is one HS2 instance's results cache.
 type Cache struct {
-	noCopy noCopy
-	shards []*shard
+	// mu orders each lookup of entries with the pending-fill check that
+	// follows it, and each fill with the release of its pending marker.
+	mu       sync.Mutex
+	entries  *cache.Cache[string, *entry] // by versionKey
+	pendings map[string]*pending          // by versionKey
+	waits    int64
 }
-
-// noCopy makes `go vet` (copylocks) flag by-value copies of Cache: the
-// shards are shared mutable state behind pointers, so a copied handle
-// silently aliases the original instead of being independent.
-type noCopy struct{}
-
-func (*noCopy) Lock()   {}
-func (*noCopy) Unlock() {}
 
 // New creates a cache bounded to maxEntries cached results in total
 // (summed across all versions of all keys).
@@ -97,35 +73,10 @@ func New(maxEntries int) *Cache {
 	if maxEntries <= 0 {
 		maxEntries = 64
 	}
-	// Scale shard count with capacity so small caches keep their global
-	// bound tight (per-shard bounds multiply out to <= maxEntries).
-	n := maxEntries / 16
-	if n < 1 {
-		n = 1
+	return &Cache{
+		entries:  cache.New[string, *entry](cache.LRU, int64(maxEntries)),
+		pendings: make(map[string]*pending),
 	}
-	if n > 16 {
-		n = 16
-	}
-	per := maxEntries / n
-	if per < 1 {
-		per = 1
-	}
-	c := &Cache{shards: make([]*shard, n)}
-	for i := range c.shards {
-		c.shards[i] = &shard{
-			versions: make(map[string][]*entry),
-			lru:      list.New(),
-			pendings: make(map[string]*pending),
-			max:      per,
-		}
-	}
-	return c
-}
-
-func (c *Cache) shardFor(key string) *shard {
-	h := fnv.New32a()
-	h.Write([]byte(key))
-	return c.shards[h.Sum32()%uint32(len(c.shards))]
 }
 
 // Outcome reports what Lookup decided.
@@ -148,125 +99,69 @@ const (
 // independently. On MissWaited another session just filled or abandoned;
 // the caller should retry.
 func (c *Cache) Lookup(key string, current Snapshot) ([]string, [][]types.Datum, Outcome) {
-	s := c.shardFor(key)
-	pk := key + "\x00" + snapKey(current)
-	s.mu.Lock()
-	for _, e := range s.versions[key] {
-		if snapshotEqual(e.snapshot, current) {
-			s.hits++
-			s.lru.MoveToFront(e.elem)
-			checkFrozen(e)
-			cols := append([]string(nil), e.columns...)
-			rows := append([][]types.Datum(nil), e.rows...)
-			s.mu.Unlock()
-			return cols, rows, Hit
-		}
+	vk := versionKey(key, current)
+	c.mu.Lock()
+	e, ok := c.entries.Get(vk)
+	if ok {
+		c.mu.Unlock()
+		checkFrozen(e)
+		cols := append([]string(nil), e.columns...)
+		rows := append([][]types.Datum(nil), e.rows...)
+		return cols, rows, Hit
 	}
-	if p, ok := s.pendings[pk]; ok {
-		s.waits++
-		s.mu.Unlock()
+	if p, ok := c.pendings[vk]; ok {
+		c.waits++
+		c.mu.Unlock()
 		<-p.done
 		return nil, nil, MissWaited
 	}
-	s.misses++
-	s.pendings[pk] = &pending{done: make(chan struct{})}
-	s.mu.Unlock()
+	c.pendings[vk] = &pending{done: make(chan struct{})}
+	c.mu.Unlock()
 	return nil, nil, MissFill
 }
 
 // Fill completes a MissFill with results computed at snap. An existing
-// version at the same snapshot is replaced in place — replacement never
-// evicts. A genuinely new version may evict the least-recently-used entry
-// (possibly an older version of the same key) once the shard is full. The
-// pending marker for (key, snap) is released; when the run's actual
-// snapshot differed from the Lookup snapshot, the caller must Abandon the
-// original (key, lookupSnap) reservation separately.
+// version at the same snapshot is replaced — replacement never evicts. A
+// genuinely new version may evict the least-recently-used entry (possibly
+// an older version of the same key) once the cache is full. The pending
+// marker for (key, snap) is released; when the run's actual snapshot
+// differed from the Lookup snapshot, the caller must Abandon the original
+// (key, lookupSnap) reservation separately.
 func (c *Cache) Fill(key string, columns []string, rows [][]types.Datum, snap Snapshot) {
-	s := c.shardFor(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	replaced := false
-	for _, e := range s.versions[key] {
-		if snapshotEqual(e.snapshot, snap) {
-			e.columns = columns
-			e.rows = rows
-			e.frozen = freezeHash(columns, rows)
-			s.lru.MoveToFront(e.elem)
-			replaced = true
-			break
-		}
-	}
-	if !replaced {
-		if s.lru.Len() >= s.max {
-			s.evictLRU()
-		}
-		e := &entry{key: key, columns: columns, rows: rows, snapshot: snap,
-			frozen: freezeHash(columns, rows)}
-		e.elem = s.lru.PushFront(e)
-		s.versions[key] = append(s.versions[key], e)
-	}
-	s.release(key + "\x00" + snapKey(snap))
-}
-
-// evictLRU removes the least-recently-used entry. Caller holds s.mu.
-func (s *shard) evictLRU() {
-	back := s.lru.Back()
-	if back == nil {
-		return
-	}
-	victim := back.Value.(*entry)
-	s.lru.Remove(back)
-	vs := s.versions[victim.key]
-	for i, e := range vs {
-		if e == victim {
-			vs = append(vs[:i], vs[i+1:]...)
-			break
-		}
-	}
-	if len(vs) == 0 {
-		delete(s.versions, victim.key)
-	} else {
-		s.versions[victim.key] = vs
-	}
+	vk := versionKey(key, snap)
+	e := &entry{key: key, columns: columns, rows: rows, frozen: freezeHash(columns, rows)}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.entries.Put(vk, e, 1)
+	c.release(vk)
 }
 
 // Abandon releases a MissFill reservation without caching (nondeterministic
 // query, execution error, or a run whose actual snapshot no longer matches
 // the reservation).
 func (c *Cache) Abandon(key string, snap Snapshot) {
-	s := c.shardFor(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.release(key + "\x00" + snapKey(snap))
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.release(versionKey(key, snap))
 }
 
-// release closes a pending marker. Caller holds s.mu.
-func (s *shard) release(pk string) {
-	if p, ok := s.pendings[pk]; ok {
+// release closes a pending marker. Caller holds c.mu.
+func (c *Cache) release(vk string) {
+	if p, ok := c.pendings[vk]; ok {
 		close(p.done)
-		delete(s.pendings, pk)
+		delete(c.pendings, vk)
 	}
 }
 
-// Stats returns hit/miss/wait counters summed across shards.
+// Stats returns hit/miss/wait counters. Every Lookup makes exactly one
+// lookup of entries; one that then waits on a pending fill is a wait, not
+// a miss.
 func (c *Cache) Stats() (hits, misses, waits int64) {
-	for _, s := range c.shards {
-		s.mu.Lock()
-		hits += s.hits
-		misses += s.misses
-		waits += s.waits
-		s.mu.Unlock()
-	}
-	return
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	st := c.entries.Stats()
+	return st.Hits, st.Misses - c.waits, c.waits
 }
 
 // Len reports the number of cached result versions (for tests).
-func (c *Cache) Len() int {
-	n := 0
-	for _, s := range c.shards {
-		s.mu.Lock()
-		n += s.lru.Len()
-		s.mu.Unlock()
-	}
-	return n
-}
+func (c *Cache) Len() int { return c.entries.Stats().Entries }

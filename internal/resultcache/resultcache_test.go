@@ -3,6 +3,7 @@ package resultcache
 import (
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/types"
 )
@@ -168,6 +169,41 @@ func TestPendingEntryBlocksThunderingHerd(t *testing.T) {
 	// Retry after wait is a hit.
 	if _, _, out := c.Lookup("q", snap); out != Hit {
 		t.Errorf("post-fill lookup: %v", out)
+	}
+}
+
+// TestWaitIsNotAMiss: a Lookup that waits on a pending fill counts one
+// wait and no miss; its retry after the fill counts one hit.
+func TestWaitIsNotAMiss(t *testing.T) {
+	c := New(8)
+	snap := Snapshot{"t": 1}
+	if _, _, out := c.Lookup("q", snap); out != MissFill {
+		t.Fatal("expected fill ownership")
+	}
+	waited := make(chan Outcome)
+	go func() {
+		_, _, out := c.Lookup("q", snap)
+		waited <- out
+	}()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		if _, _, waits := c.Stats(); waits == 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("second Lookup never waited on the pending fill")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	c.Fill("q", []string{"x"}, [][]types.Datum{row(1)}, snap)
+	if out := <-waited; out != MissWaited {
+		t.Fatalf("waiter got %v, want MissWaited", out)
+	}
+	if _, _, out := c.Lookup("q", snap); out != Hit {
+		t.Fatalf("retry after the fill: %v, want Hit", out)
+	}
+	if hits, misses, waits := c.Stats(); hits != 1 || misses != 1 || waits != 1 {
+		t.Errorf("stats = %d hits, %d misses, %d waits; want 1, 1, 1", hits, misses, waits)
 	}
 }
 

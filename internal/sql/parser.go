@@ -1071,6 +1071,9 @@ func (p *parser) parseTypeName() (types.T, error) {
 	if p.accept("(") {
 		full += "("
 		for !p.at(")") {
+			if p.atEOF() {
+				return types.TUnknown, p.errf("unterminated type %q", full)
+			}
 			full += p.cur().Text
 			p.pos++
 		}

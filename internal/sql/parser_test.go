@@ -451,6 +451,8 @@ func TestParseErrors(t *testing.T) {
 		"SELECT a FROM t GROUP BY GROUPING SETS (a)",
 		"CREATE POOL p WITH alloc_fraction='x'",
 		"SELECT a b c FROM t",
+		"CREATE TABLE A(A A0(",
+		"SELECT CAST(1 AS decimal(7,2",
 	}
 	for _, src := range bad {
 		if _, err := Parse(src); err == nil {

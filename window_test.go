@@ -90,9 +90,17 @@ func TestWindowRegressionSerialVsParallel(t *testing.T) {
 	_, s := windowWarehouse(t, 400)
 	queries := []string{
 		// Multiple functions over one partition spec: a single shared pass.
+		// row_number gets the total order (k, v, s), unique per g: over
+		// tied k alone, which tied row gets which number follows the
+		// parallel scan's arrival order.
 		`SELECT g, k, v, SUM(v) OVER (PARTITION BY g ORDER BY k), COUNT(*) OVER (PARTITION BY g ORDER BY k),
-		        MIN(v) OVER (PARTITION BY g ORDER BY k), row_number() OVER (PARTITION BY g ORDER BY k)
+		        MIN(v) OVER (PARTITION BY g ORDER BY k), row_number() OVER (PARTITION BY g ORDER BY k, v, s)
 		   FROM w ORDER BY g, k, v, s`,
+		// row_number over ties, checked order-insensitively: the output
+		// leaves out v and s and is sorted on the row number, so it matches
+		// when every (g, k) peer group gets the same set of row numbers.
+		`SELECT g, k, row_number() OVER (PARTITION BY g ORDER BY k) AS rn
+		   FROM w ORDER BY g, k, rn`,
 		// rank vs dense_rank on a tie-heavy DESC key.
 		`SELECT g, k, rank() OVER (PARTITION BY g ORDER BY k DESC), dense_rank() OVER (PARTITION BY g ORDER BY k DESC)
 		   FROM w ORDER BY g, k, v, s`,
